@@ -1,8 +1,10 @@
 type t = {
   net : Network.t;
   pairing : Pairing.subnet array;
+  subnet_of : (int, int) Hashtbl.t; (* server -> subnet idx *)
   envs : Propagation.env_table;
-  contributions : (int * int, float) Hashtbl.t; (* (flow, subnet idx) *)
+  (* flow -> (subnet idx, delay) for the subnets it crosses, ascending *)
+  contributions : (int, (int * float) list) Hashtbl.t;
   poisoned : (int * int, unit) Hashtbl.t;       (* (flow, server) *)
   server_backlogs : (int, float) Hashtbl.t;
   flow_backlogs : (int * int, float) Hashtbl.t; (* (flow, server) *)
@@ -77,7 +79,9 @@ let analyze_with_pairing ?(options = Options.default) net pairing_list =
       flows
   in
   let record idx (f : Flow.t) ~entry ~last d =
-    Hashtbl.replace contributions (f.id, idx) d;
+    Hashtbl.replace contributions f.id
+      ((idx, d)
+      :: Option.value ~default:[] (Hashtbl.find_opt contributions f.id));
     if d = infinity then poison_rest poisoned f ~from:last
     else
       let env = Propagation.get envs ~flow:f.id ~server:entry in
@@ -205,7 +209,24 @@ let analyze_with_pairing ?(options = Options.default) net pairing_list =
             (fun f -> record idx f ~entry:v ~last:v result.Pair_analysis.d2)
             s2)
     pairing;
-  { net; pairing; envs; contributions; poisoned; server_backlogs; flow_backlogs }
+  Hashtbl.filter_map_inplace (fun _ cs -> Some (List.rev cs)) contributions;
+  let subnet_of = Hashtbl.create (Array.length pairing) in
+  Array.iteri
+    (fun i subnet ->
+      List.iter
+        (fun s -> Hashtbl.replace subnet_of s i)
+        (Pairing.servers_of subnet))
+    pairing;
+  {
+    net;
+    pairing;
+    subnet_of;
+    envs;
+    contributions;
+    poisoned;
+    server_backlogs;
+    flow_backlogs;
+  }
 
 let memo : t Incremental.table = Incremental.table ()
 
@@ -215,14 +236,9 @@ let analyze ?(options = Options.default) ?(strategy = Pairing.Greedy) net =
     (fun () -> analyze_with_pairing ~options net (Pairing.build net strategy))
 
 let flow_delay t id =
-  let total = ref 0. in
-  Array.iteri
-    (fun idx _ ->
-      match Hashtbl.find_opt t.contributions (id, idx) with
-      | Some d -> total := !total +. d
-      | None -> ())
-    t.pairing;
-  !total
+  match Hashtbl.find_opt t.contributions id with
+  | Some cs -> List.fold_left (fun acc (_, d) -> acc +. d) 0. cs
+  | None -> 0.
 
 let all_flow_delays t =
   Network.flows t.net
@@ -230,11 +246,11 @@ let all_flow_delays t =
   |> List.sort compare
 
 let subnet_delay_opt t ~flow ~subnet =
-  let idx = ref None in
-  Array.iteri (fun i s -> if s = subnet then idx := Some i) t.pairing;
-  match !idx with
-  | None -> None
-  | Some i -> Hashtbl.find_opt t.contributions (flow, i)
+  let (Pairing.Single s | Pairing.Pair (s, _)) = subnet in
+  match Hashtbl.find_opt t.subnet_of s with
+  | Some i when t.pairing.(i) = subnet ->
+      Option.bind (Hashtbl.find_opt t.contributions flow) (List.assoc_opt i)
+  | _ -> None
 
 let subnet_delay t ~flow ~subnet =
   match subnet_delay_opt t ~flow ~subnet with

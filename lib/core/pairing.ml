@@ -36,21 +36,25 @@ let subnet_assignment net subnets =
   assignment
 
 (* Topologically order the contracted (subnet) graph; raise
-   Network.Cyclic when contraction created a cycle. *)
+   Network.Cyclic when contraction created a cycle.  Kahn over
+   per-subnet adjacency: the ready stack starts ascending, and newly
+   ready successors are pushed in front in ascending order. *)
 let order_subnets net subnets =
   let assignment = subnet_assignment net subnets in
   let arr = Array.of_list subnets in
   let n = Array.length arr in
-  let contracted_edges =
-    Network.edges net
-    |> List.filter_map (fun (a, b) ->
-           let ia = Hashtbl.find assignment a
-           and ib = Hashtbl.find assignment b in
-           if ia = ib then None else Some (ia, ib))
-    |> List.sort_uniq compare
-  in
+  let succ = Array.make n [] in
+  List.iter
+    (fun (a, b) ->
+      let ia = Hashtbl.find assignment a and ib = Hashtbl.find assignment b in
+      if ia <> ib then succ.(ia) <- ib :: succ.(ia))
+    (Network.edges net);
   let indegree = Array.make n 0 in
-  List.iter (fun (_, b) -> indegree.(b) <- indegree.(b) + 1) contracted_edges;
+  Array.iteri
+    (fun i next ->
+      succ.(i) <- List.sort_uniq compare next;
+      List.iter (fun b -> indegree.(b) <- indegree.(b) + 1) succ.(i))
+    succ;
   let ready = ref [] in
   for i = n - 1 downto 0 do
     if indegree.(i) = 0 then ready := i :: !ready
@@ -59,16 +63,13 @@ let order_subnets net subnets =
     | [] -> List.rev order
     | i :: rest ->
         let next =
-          List.fold_left
-            (fun acc (a, b) ->
-              if a = i then begin
-                indegree.(b) <- indegree.(b) - 1;
-                if indegree.(b) = 0 then b :: acc else acc
-              end
-              else acc)
-            [] contracted_edges
+          List.filter
+            (fun b ->
+              indegree.(b) <- indegree.(b) - 1;
+              indegree.(b) = 0)
+            succ.(i)
         in
-        kahn (i :: order) (List.sort compare next @ rest)
+        kahn (i :: order) (next @ rest)
   in
   let order = kahn [] !ready in
   if List.length order <> n then raise Network.Cyclic;
@@ -78,7 +79,7 @@ let order_subnets net subnets =
 let check_pair_has_edge net = function
   | Single _ -> ()
   | Pair (u, v) ->
-      if not (List.mem (u, v) (Network.edges net)) then
+      if not (List.mem v (Network.successors net u)) then
         invalid_arg
           (Printf.sprintf
              "Pairing: no flow traverses servers %d -> %d consecutively" u v)
@@ -127,56 +128,54 @@ let along_route net flow_id =
   in
   on_route @ rest
 
-(* Shared transit count: flows riding the edge u -> v. *)
-let transit_count net (u, v) =
-  Network.flows net
-  |> List.filter (fun f -> List.mem (u, v) (Flow.hop_pairs f))
-  |> List.length
-
-let singletons_of_unpaired net paired chosen =
-  let in_chosen =
-    List.concat_map servers_of chosen |> List.sort_uniq compare
-  in
-  Network.servers net
-  |> List.filter_map (fun (s : Server.t) ->
-         if Hashtbl.mem paired s.id || List.mem s.id in_chosen then None
-         else Some (Single s.id))
-
+(* Contracting a -> b (both unpaired) closes a cycle exactly when b is
+   reachable from a successor of a other than b, so one traversal per
+   scanned server — marking every subnet strictly below the subnets of
+   its successors — decides all of its candidates. *)
 let greedy net =
-  let order = Network.topological_order net in
-  let paired = Hashtbl.create 32 in
-  let chosen = ref [] in
-  let acyclic_with extra =
-    match order_subnets net (extra @ singletons_of_unpaired net paired extra) with
-    | _ -> true
-    | exception Network.Cyclic -> false
+  let transit = Hashtbl.create 64 in
+  let count e = Option.value ~default:0 (Hashtbl.find_opt transit e) in
+  Network.flows net
+  |> List.concat_map Flow.hop_pairs
+  |> List.iter (fun e -> Hashtbl.replace transit e (count e + 1));
+  let mate = Hashtbl.create 32 in (* paired server -> the other one *)
+  let below = Hashtbl.create 32 in (* server -> last scan that marked it *)
+  let members s = s :: Option.to_list (Hashtbl.find_opt mate s) in
+  let below_of s = List.concat_map (Network.successors net) (members s) in
+  let rec mark u = function
+    | [] -> ()
+    | s :: rest when Hashtbl.find_opt below s = Some u -> mark u rest
+    | s :: rest ->
+        List.iter (fun m -> Hashtbl.replace below m u) (members s);
+        mark u (below_of s @ rest)
   in
+  let chosen = ref [] in
   List.iter
     (fun u ->
-      if not (Hashtbl.mem paired u) then begin
+      if not (Hashtbl.mem mate u) then begin
         let candidates =
-          Network.edges net
-          |> List.filter (fun (a, b) ->
-                 a = u && (not (Hashtbl.mem paired b)) && b <> u)
-          |> List.sort (fun e1 e2 ->
-                 compare (transit_count net e2) (transit_count net e1))
+          Network.successors net u
+          |> List.filter (fun b -> not (Hashtbl.mem mate b))
+          |> List.stable_sort (fun b b' -> compare (count (u, b')) (count (u, b)))
         in
-        let rec try_candidates = function
-          | (a, b) :: rest ->
-              let tentative = Pair (a, b) :: !chosen in
-              if acyclic_with tentative then begin
-                chosen := tentative;
-                Hashtbl.replace paired a ();
-                Hashtbl.replace paired b ()
-              end
-              else try_candidates rest
-          | [] -> ()
-        in
-        try_candidates candidates
+        if candidates <> [] then
+          List.iter (fun s -> mark u (below_of s)) (Network.successors net u);
+        match
+          List.find_opt (fun b -> Hashtbl.find_opt below b <> Some u) candidates
+        with
+        | Some b ->
+            chosen := Pair (u, b) :: !chosen;
+            Hashtbl.replace mate u b;
+            Hashtbl.replace mate b u
+        | None -> ()
       end)
-    order;
-  let subnets = !chosen @ singletons_of_unpaired net paired !chosen in
-  order_subnets net subnets
+    (Network.topological_order net);
+  let singles =
+    Network.servers net
+    |> List.filter_map (fun (s : Server.t) ->
+           if Hashtbl.mem mate s.id then None else Some (Single s.id))
+  in
+  order_subnets net (!chosen @ singles)
 
 let build net strategy =
   let subnets =

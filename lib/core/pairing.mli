@@ -20,8 +20,13 @@ type strategy =
           servers become singletons. *)
   | Greedy
       (** Scan servers in topological order and pair each unpaired
-          server with the direct successor sharing the most transit
-          flows, when admissible. *)
+          server with the unpaired direct successor sharing the most
+          transit flows (ties to the lower id), when admissible: with
+          the contracted graph acyclic so far, contracting [a -> b]
+          closes a cycle exactly when [b] is reachable from another
+          successor of [a].  One traversal of the contracted graph per
+          scanned server decides all of its candidates, so the cost is
+          O(V (V + E)) at worst. *)
   | Singletons
       (** No pairing: Algorithm Integrated degenerates to Algorithm
           Decomposed (the ablation baseline). *)
@@ -29,6 +34,12 @@ type strategy =
 val build : Network.t -> strategy -> t
 (** @raise Network.Cyclic on non-feedforward input.
     @raise Invalid_argument when [Along_route] names an unknown flow. *)
+
+val order_subnets : Network.t -> subnet list -> t
+(** Topologically order a cover of the servers over the contracted
+    graph, ties broken by list position.
+    @raise Network.Cyclic when the contraction has a cycle.
+    @raise Invalid_argument on a bad cover. *)
 
 val validate : Network.t -> t -> unit
 (** Check cover, pair admissibility and topological order of an

@@ -45,7 +45,8 @@ type frontier_stats = {
 type t = {
   net : Network.t;
   options : Options.t;
-  locals : (int * int, float) Hashtbl.t; (* (flow, server) -> local bound *)
+  (* flow -> its local bounds, indexed by hop position on its route *)
+  locals : (int, Float.Array.t) Hashtbl.t;
   stats : frontier_stats;
 }
 
@@ -55,6 +56,14 @@ let frontier_stats t = t.stats
 let c_evicted = Metrics.counter "propagation.frontier.evicted"
 let d_live = Metrics.dist "propagation.frontier.live"
 let p_peak = Metrics.peak "propagation.frontier.peak"
+
+(* Position of a server on a flow's route. *)
+let hop_index (f : Flow.t) sid =
+  let rec go i = function
+    | s :: rest -> if s = sid then Some i else go (i + 1) rest
+    | [] -> None
+  in
+  go 0 f.route
 
 (* Outcome of one server's (read-only) local analysis, applied by the
    sequential merge. *)
@@ -71,7 +80,11 @@ type server_result = {
 
 let analyze ?(options = Options.default) ?jobs net =
   let levels = Network.levels net in
-  let locals = Hashtbl.create 1024 in
+  let locals = Hashtbl.create (max 16 (List.length (Network.flows net))) in
+  List.iter
+    (fun (f : Flow.t) ->
+      Hashtbl.replace locals f.id (Float.Array.make (List.length f.route) nan))
+    (Network.flows net);
   let poisoned = Hashtbl.create 64 in
   let envs = Propagation.empty ~size_hint:1024 () in
   (* Group the source installs by the level of each flow's first hop,
@@ -98,6 +111,11 @@ let analyze ?(options = Options.default) ?jobs net =
       Metrics.observe d_live (float_of_int live);
       Metrics.observe_peak p_peak live
     end
+  in
+  let set_local (f : Flow.t) sid d =
+    match (Hashtbl.find_opt locals f.id, hop_index f sid) with
+    | Some a, Some i -> Float.Array.set a i d
+    | _ -> ()
   in
   let poison_rest (f : Flow.t) ~from =
     let rec mark = function
@@ -167,14 +185,14 @@ let analyze ?(options = Options.default) ?jobs net =
               List.iter
                 (fun (f : Flow.t) ->
                   if r.present <> [] then begin
-                    Hashtbl.replace locals (f.id, r.sid) infinity;
+                    set_local f r.sid infinity;
                     poison_rest f ~from:r.sid
                   end)
                 r.present
           | Some bounds ->
               List.iter
                 (fun ((f : Flow.t), d, next) ->
-                  Hashtbl.replace locals (f.id, r.sid) d;
+                  set_local f r.sid d;
                   if d = infinity then poison_rest f ~from:r.sid
                   else
                     match (Flow.next_hop f r.sid, next) with
@@ -211,9 +229,12 @@ let analyze ?(options = Options.default) ?jobs net =
   { net; options; locals; stats }
 
 let local_delay t ~flow ~server =
-  match Hashtbl.find_opt t.locals (flow, server) with
-  | Some d -> d
-  | None ->
+  let hop =
+    Option.bind (Network.flow_opt t.net flow) (fun f -> hop_index f server)
+  in
+  match (hop, Hashtbl.find_opt t.locals flow) with
+  | Some i, Some a -> Float.Array.get a i
+  | _ ->
       invalid_arg
         (Printf.sprintf
            "Propagation_stream.local_delay: flow %d does not cross server %d"
@@ -221,8 +242,9 @@ let local_delay t ~flow ~server =
 
 let flow_delay t id =
   let f = Network.flow t.net id in
-  List.fold_left (fun acc s -> acc +. local_delay t ~flow:id ~server:s) 0.
-    f.route
+  match Hashtbl.find_opt t.locals f.id with
+  | Some a -> Float.Array.fold_left ( +. ) 0. a
+  | None -> 0.
 
 let all_flow_delays t =
   Network.flows t.net

@@ -50,7 +50,8 @@ val frontier_stats : t -> frontier_stats
 
 val local_delay : t -> flow:int -> server:int -> float
 (** Local bound of a flow at a server on its route ([infinity] when the
-    upstream is unstable).  @raise Invalid_argument off the flow's route. *)
+    upstream is unstable).  @raise Invalid_argument off the flow's route
+    or for an unknown flow. *)
 
 val flow_delay : t -> int -> float
 (** End-to-end bound: sum of local bounds along the route — bit-equal

@@ -393,6 +393,31 @@ let test_integrated_subnet_delay_bookkeeping () =
   approx "contributions sum to the bound" (d01 +. d23)
     (Integrated.flow_delay integ 0)
 
+let test_integrated_subnet_delay_opt_absent () =
+  let arrival = Arrival.token_bucket ~sigma:1. ~rho:0.1 () in
+  let net =
+    Network.make
+      ~servers:(List.init 3 (fun id -> Server.make ~id ~rate:1. ()))
+      ~flows:
+        [
+          Flow.make ~id:0 ~arrival ~route:[ 0; 1 ] ();
+          Flow.make ~id:1 ~arrival ~route:[ 2 ] ();
+        ]
+  in
+  let i =
+    Integrated.analyze_with_pairing net [ Pairing.Pair (0, 1); Pairing.Single 2 ]
+  in
+  let crosses what expected flow subnet =
+    check_bool what expected
+      (Option.is_some (Integrated.subnet_delay_opt i ~flow ~subnet))
+  in
+  crosses "flow 0 crosses its pair" true 0 (Pairing.Pair (0, 1));
+  crosses "flow 1 crosses its singleton" true 1 (Pairing.Single 2);
+  crosses "flow 0 does not cross {2}" false 0 (Pairing.Single 2);
+  crosses "flow 1 does not cross {0,1}" false 1 (Pairing.Pair (0, 1));
+  crosses "{0} is not a subnet of this pairing" false 0 (Pairing.Single 0);
+  crosses "unknown flow" false 7 (Pairing.Pair (0, 1))
+
 let test_link_cap_option_tightens () =
   let t = tandem 6 0.8 in
   let base = Decomposed.flow_delay (Decomposed.analyze t.network) 0 in
@@ -612,4 +637,6 @@ let suite =
       test "admission rejects deadline-less flows"
         test_admission_rejects_no_deadline;
       test "admission is FCFS (ordering matters)" test_admission_is_fcfs;
+      test "subnet_delay_opt is None off the flow's subnets"
+        test_integrated_subnet_delay_opt_absent;
     ] )

@@ -93,6 +93,58 @@ let test_overload_identity () =
     (List.exists (fun (_, d) -> d = infinity) expected);
   same_delays "overloaded net" expected (stream_delays net)
 
+let test_poisoned_heavytail_identity () =
+  (* A heavytail draw with one lightly used, mid-route server pushed past
+     its rate: the poison spreads downstream, yet some flows stay bounded. *)
+  let net =
+    Corpus.generate ~family:Corpus.Heavytail ~target_servers:200 ~seed:3
+  in
+  let poisoned =
+    List.find
+      (fun (s : Server.t) ->
+        match Network.flows_at net s.id with
+        | [ f ] -> Flow.next_hop f s.id <> None
+        | _ -> false)
+      (Network.servers net)
+  in
+  let servers =
+    List.map
+      (fun (s : Server.t) ->
+        if s.id <> poisoned.id then s
+        else
+          Server.make ~id:s.id ~name:s.name ~discipline:s.discipline
+            ~rate:(0.5 *. s.rate *. Network.utilization net s.id)
+            ())
+      (Network.servers net)
+  in
+  let net = Network.make ~servers ~flows:(Network.flows net) in
+  let expected = decomposed_delays net in
+  check_bool "poisoned hop produces infinities" true
+    (List.exists (fun (_, d) -> d = infinity) expected);
+  check_bool "other flows stay bounded" true
+    (List.exists (fun (_, d) -> Float.is_finite d) expected);
+  same_delays "poisoned heavytail jobs 1" expected (stream_delays ~jobs:1 net);
+  same_delays "poisoned heavytail jobs 4" expected (stream_delays ~jobs:4 net)
+
+let test_local_delay_lookups () =
+  let t = Tandem.make ~n:3 ~utilization:0.5 () in
+  let s = Propagation_stream.analyze t.network in
+  let d = Decomposed.analyze t.network in
+  List.iter
+    (fun sid ->
+      Alcotest.(check int64)
+        (Printf.sprintf "flow 0 at server %d" sid)
+        (bits (Decomposed.local_delay d ~flow:0 ~server:sid))
+        (bits (Propagation_stream.local_delay s ~flow:0 ~server:sid)))
+    (Network.flow t.network 0).route;
+  let expect_invalid what ~flow ~server =
+    match Propagation_stream.local_delay s ~flow ~server with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  expect_invalid "off-route server" ~flow:0 ~server:999;
+  expect_invalid "unknown flow" ~flow:999 ~server:0
+
 (* --- determinism across jobs counts ------------------------------- *)
 
 let test_jobs_determinism () =
@@ -320,4 +372,7 @@ let suite =
       test "generator size formulas" test_generator_sizes;
       test "edge-cloud wire latency" test_edge_cloud_latency;
       test "dot streaming equals string export" test_dot_streaming;
+      test "poisoned heavytail bit-identity across jobs counts"
+        test_poisoned_heavytail_identity;
+      test "local_delay lookups" test_local_delay_lookups;
     ] )
