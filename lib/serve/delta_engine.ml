@@ -20,9 +20,11 @@
      the batch analysis, fed inputs that are either recomputed in
      topological order or physically unchanged.
 
-   Rollback of a rejected admit is a teardown of the candidate over the
-   same cone: recomputing the old flow population from unchanged
-   outside-cone inputs reproduces the previous state bit-for-bit. *)
+   Rollback of a rejected admit replays an undo log: while the admit
+   is undecided, every write to the tables records the binding it
+   replaces, and the network itself is persistent, so restoring the
+   old bindings and the old [Network.t] reproduces the previous state
+   bit-for-bit without recomputing anything. *)
 
 let c_cone = Metrics.counter "serve.delta.cone_nodes"
 let c_reused = Metrics.counter "serve.delta.reused_nodes"
@@ -38,6 +40,8 @@ type t = {
   poisoned : (int * int, int) Hashtbl.t;    (* (flow, server) -> origin server *)
   violated : (int, Admission.reject_reason) Hashtbl.t;
       (* flows failing a feasibility check, with the reason *)
+  mutable logging : bool;  (* an admit is undecided: log every write *)
+  mutable undo : (unit -> unit) list;  (* newest first *)
   mutable admits : int;
   mutable rejects : int;
   mutable teardowns : int;
@@ -46,6 +50,32 @@ type t = {
 }
 
 let network t = t.net
+
+(* Every write to the tables goes through [bind] or [bind_env]: [Some]
+   sets a binding, [None] removes it, and while [logging] the binding
+   it replaces is logged first. *)
+let restore tbl key = function
+  | Some v -> Hashtbl.replace tbl key v
+  | None -> Hashtbl.remove tbl key
+
+let bind t tbl key v =
+  if t.logging then begin
+    let prev = Hashtbl.find_opt tbl key in
+    t.undo <- (fun () -> restore tbl key prev) :: t.undo
+  end;
+  restore tbl key v
+
+let bind_env t ~flow ~server env =
+  if t.logging then begin
+    let prev = Propagation.find_opt t.envs ~flow ~server in
+    t.undo <-
+      (fun () ->
+        match prev with
+        | Some e -> Propagation.set t.envs ~flow ~server e
+        | None -> Propagation.remove t.envs ~flow ~server)
+      :: t.undo
+  end;
+  Propagation.set t.envs ~flow ~server env
 
 let flow_delay t id =
   let f = Network.flow t.net id in
@@ -151,94 +181,50 @@ let refresh_violation t (f : Flow.t) =
                        { flow = f.id; server = s; backlog = b; buffer = budget }))
               f.route)
   in
-  match v with
-  | None -> Hashtbl.remove t.violated f.id
-  | Some reason -> Hashtbl.replace t.violated f.id reason
+  bind t t.violated f.id v
 
-(* Successor map of the routing DAG, built once per operation. *)
-let successors net =
-  let succs = Hashtbl.create 64 in
-  List.iter
-    (fun (a, b) ->
-      let cur = try Hashtbl.find succs a with Not_found -> [] in
-      Hashtbl.replace succs a (b :: cur))
-    (Network.edges net);
-  succs
-
-let succs_of succs sid = try Hashtbl.find succs sid with Not_found -> []
-
-(* Forward closure of [seeds]. *)
-let cone_of ~succs ~seeds =
+(* The cone of [seeds] — their forward closure in the routing DAG —
+   and a topological order of it: the reversed post-order of a
+   depth-first search over [Network.successors], which marks the
+   servers on the current path ([false]) to detect cycles.  Inputs from
+   outside the cone are already final, so any topological order of the
+   cone reproduces the batch sweep's bits.  Raises Network.Cyclic when
+   the cone has a cycle; any cycle a new flow can create passes through
+   its route servers, which are all seeds, so searching the cone
+   suffices.  The cost scales with the cone, not the network. *)
+let cone_of net ~seeds =
   let cone = Hashtbl.create 64 in
+  let order = ref [] in
   let rec visit sid =
-    if not (Hashtbl.mem cone sid) then begin
-      Hashtbl.add cone sid ();
-      List.iter visit (succs_of succs sid)
-    end
+    match Hashtbl.find_opt cone sid with
+    | Some true -> ()
+    | Some false -> raise Network.Cyclic
+    | None ->
+        Hashtbl.add cone sid false;
+        List.iter visit (Network.successors net sid);
+        Hashtbl.replace cone sid true;
+        order := sid :: !order
   in
   List.iter visit seeds;
-  cone
+  (cone, !order)
 
-(* Topological order of the cone subgraph (Kahn, ties by ascending id).
-   Only in-cone predecessors count: inputs from outside the cone are
-   already final.  Raises Network.Cyclic when the subgraph has a cycle
-   — and any cycle a new flow can create passes through its route
-   servers, which are all cone seeds, so checking the cone suffices.
-   Per-operation cost scales with the cone, not the network. *)
-let cone_topo_order ~succs cone =
-  let indeg = Hashtbl.create 64 in
-  Hashtbl.iter (fun sid () -> Hashtbl.replace indeg sid 0) cone;
-  Hashtbl.iter
-    (fun sid () ->
-      List.iter
-        (fun b ->
-          if Hashtbl.mem cone b then
-            Hashtbl.replace indeg b (Hashtbl.find indeg b + 1))
-        (succs_of succs sid))
-    cone;
-  let ready =
-    Hashtbl.fold
-      (fun sid () acc -> if Hashtbl.find indeg sid = 0 then sid :: acc else acc)
-      cone []
-    |> List.sort compare
-  in
-  let rec kahn order = function
-    | [] -> List.rev order
-    | sid :: rest ->
-        let next =
-          List.fold_left
-            (fun acc b ->
-              if Hashtbl.mem cone b then begin
-                let d = Hashtbl.find indeg b - 1 in
-                Hashtbl.replace indeg b d;
-                if d = 0 then b :: acc else acc
-              end
-              else acc)
-            [] (succs_of succs sid)
-        in
-        kahn (sid :: order) (List.sort compare next @ rest)
-  in
-  let order = kahn [] ready in
-  if List.length order <> Hashtbl.length cone then raise Network.Cyclic
-  else order
-
-(* Re-run the topological sweep restricted to the cone.  Raises
-   Network.Cyclic before any mutation when the cone subgraph has a
-   cycle (the caller rolls back the flow-list change). *)
-let recompute t ~succs ~cone =
-  let order = cone_topo_order ~succs cone in
+(* Re-run the topological sweep over the cone of [seeds], and return
+   the cone.  Raises Network.Cyclic before any mutation when the cone
+   has a cycle. *)
+let recompute t ~seeds =
+  let cone, order = cone_of t.net ~seeds in
   (* Poison marks originating inside the cone are about to be
      re-derived; marks inherited from untouched upstream servers stay. *)
   Hashtbl.fold
     (fun key origin acc -> if Hashtbl.mem cone origin then key :: acc else acc)
     t.poisoned []
   |> List.sort compare
-  |> List.iter (fun key -> Hashtbl.remove t.poisoned key);
+  |> List.iter (fun key -> bind t t.poisoned key None);
   let poison_rest (f : Flow.t) ~from =
     let rec mark = function
       | s :: rest ->
           if s = from then
-            List.iter (fun s' -> Hashtbl.replace t.poisoned (f.id, s') from) rest
+            List.iter (fun s' -> bind t t.poisoned (f.id, s') (Some from)) rest
           else mark rest
       | [] -> ()
     in
@@ -256,7 +242,7 @@ let recompute t ~succs ~cone =
         if unbounded then
           List.iter
             (fun (f : Flow.t) ->
-              Hashtbl.replace t.locals (f.id, sid) infinity;
+              bind t t.locals (f.id, sid) (Some infinity);
               poison_rest f ~from:sid)
             present
         else begin
@@ -272,21 +258,23 @@ let recompute t ~succs ~cone =
           List.iter2
             (fun ((f : Flow.t), env) ((f' : Flow.t), d) ->
               assert (f.id = f'.id);
-              Hashtbl.replace t.locals (f.id, sid) d;
+              bind t t.locals (f.id, sid) (Some d);
               if Float_ops.eq_exact d infinity then poison_rest f ~from:sid
               else
-                Propagation.set_next t.envs f ~after:sid
-                  (Options.compact_envelope t.options (Pwl.shift_left env d)))
+                Flow.next_hop f sid
+                |> Option.iter (fun server ->
+                       bind_env t ~flow:f.id ~server
+                         (Options.compact_envelope t.options
+                            (Pwl.shift_left env d))))
             with_envs delays
         end
       end)
     order;
   (* Bounds can only have changed for flows that touch the cone. *)
-  List.iter
-    (fun (f : Flow.t) ->
-      if List.exists (fun s -> Hashtbl.mem cone s) f.route then
-        refresh_violation t f)
-    (Network.flows t.net)
+  List.concat_map (Network.flows_at t.net) order
+  |> List.sort_uniq (fun (f : Flow.t) (g : Flow.t) -> Int.compare f.id g.id)
+  |> List.iter (refresh_violation t);
+  cone
 
 let create ?(options = Options.default) ~servers ~flows () =
   let net = Network.make ~servers ~flows in
@@ -298,6 +286,8 @@ let create ?(options = Options.default) ~servers ~flows () =
       locals = Hashtbl.create 64;
       poisoned = Hashtbl.create 8;
       violated = Hashtbl.create 8;
+      logging = false;
+      undo = [];
       admits = 0;
       rejects = 0;
       teardowns = 0;
@@ -305,9 +295,7 @@ let create ?(options = Options.default) ~servers ~flows () =
       reused_total = 0;
     }
   in
-  let cone = Hashtbl.create 64 in
-  List.iter (fun (s : Server.t) -> Hashtbl.replace cone s.id ()) servers;
-  recompute t ~succs:(successors net) ~cone;
+  ignore (recompute t ~seeds:(List.map (fun (s : Server.t) -> s.id) servers));
   t
 
 type op_stats = { cone_nodes : int; reused_nodes : int }
@@ -334,7 +322,7 @@ let note_delta t cone =
   t.reused_total <- t.reused_total + reused_nodes;
   { cone_nodes; reused_nodes }
 
-(* Drop every per-hop trace of a flow (teardown, or admit rollback). *)
+(* Drop every per-hop trace of a flow being torn down. *)
 let forget_flow t (f : Flow.t) =
   List.iter
     (fun s ->
@@ -355,71 +343,64 @@ let current_violation t =
   | [] -> None
   | (_, reason) :: _ -> Some reason
 
+(* Replay the undo log newest first and put the pre-admit network
+   back: every table binding returns to its value before the admit. *)
+let rollback t net =
+  List.iter (fun undo -> undo ()) t.undo;
+  t.undo <- [];
+  t.logging <- false;
+  t.net <- net
+
+let reject t reason stats =
+  t.rejects <- t.rejects + 1;
+  Metrics.incr c_rejected;
+  Rejected { reason; stats }
+
 let admit t (cand : Flow.t) =
   match cand.deadline with
-  | None ->
-      t.rejects <- t.rejects + 1;
-      Metrics.incr c_rejected;
-      Rejected { reason = Admission.No_deadline; stats = note_skip t }
+  | None -> reject t Admission.No_deadline (note_skip t)
   | Some _ -> (
       let old_net = t.net in
       (* Raises Invalid_argument on a duplicate id or unknown server
          before any state is touched. *)
-      let new_net =
-        Network.with_flows old_net (Network.flows old_net @ [ cand ])
+      t.net <- Network.add_flow old_net cand;
+      t.logging <- true;
+      let decision =
+        match
+          bind_env t ~flow:cand.id ~server:(Flow.first_hop cand)
+            (Flow.source_curve cand);
+          note_delta t (recompute t ~seeds:cand.route)
+        with
+        | stats -> (
+            match current_violation t with
+            | None -> Ok stats
+            | Some reason -> Error (reason, stats))
+        | exception Network.Cyclic -> Error (Admission.Cyclic_route, note_skip t)
+        | exception e ->
+            rollback t old_net;
+            raise e
       in
-      t.net <- new_net;
-      Propagation.install_source t.envs cand;
-      let succs = successors new_net in
-      let cone = cone_of ~succs ~seeds:cand.route in
-      match recompute t ~succs ~cone with
-      | exception Network.Cyclic ->
-          (* Nothing was recomputed (the cycle check precedes all
-             mutation): undo the flow-list splice and reject. *)
-          Propagation.remove t.envs ~flow:cand.id ~server:(Flow.first_hop cand);
-          t.net <- old_net;
-          t.rejects <- t.rejects + 1;
-          Metrics.incr c_rejected;
-          Rejected { reason = Admission.Cyclic_route; stats = note_skip t }
-      | () ->
-          let stats = note_delta t cone in
-          if Hashtbl.length t.violated = 0 then begin
-            t.admits <- t.admits + 1;
-            Metrics.incr c_accepted;
-            Admitted { bound = flow_delay t cand.id; stats }
-          end
-          else begin
-            let reason =
-              match current_violation t with
-              | Some r -> r
-              | None -> assert false
-            in
-            (* Roll back: tear the candidate out over the same cone.
-               Outside-cone state never moved, so this reproduces the
-               pre-admit state bit-for-bit. *)
-            forget_flow t cand;
-            t.net <- old_net;
-            recompute t ~succs ~cone;
-            t.rejects <- t.rejects + 1;
-            Metrics.incr c_rejected;
-            Rejected { reason; stats }
-          end)
+      match decision with
+      | Ok stats ->
+          t.undo <- [];
+          t.logging <- false;
+          t.admits <- t.admits + 1;
+          Metrics.incr c_accepted;
+          Admitted { bound = flow_delay t cand.id; stats }
+      | Error (reason, stats) ->
+          rollback t old_net;
+          reject t reason stats)
 
 let teardown t id =
   match Network.flow_opt t.net id with
   | None -> Error `Unknown_flow
   | Some f ->
-      let flows' =
-        List.filter (fun (g : Flow.t) -> g.id <> id) (Network.flows t.net)
-      in
       forget_flow t f;
-      t.net <- Network.with_flows t.net flows';
-      let succs = successors t.net in
-      let cone = cone_of ~succs ~seeds:f.route in
-      recompute t ~succs ~cone;
+      t.net <- Network.remove_flow t.net id;
+      let stats = note_delta t (recompute t ~seeds:f.route) in
       t.teardowns <- t.teardowns + 1;
       Metrics.incr c_teardown;
-      Ok (note_delta t cone)
+      Ok stats
 
 type stats = {
   servers : int;

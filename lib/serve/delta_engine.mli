@@ -17,8 +17,11 @@
     cone is closed under DAG successors, and the per-server recompute
     is the same code path over the same inputs.
 
-    A rejected admit rolls back by tearing the candidate out over the
-    same cone, restoring the previous state bit-for-bit.
+    A rejected admit rolls back by replaying an undo log of the table
+    writes it made and restoring the previous (persistent) network,
+    which returns the previous state bit-for-bit without recomputing.
+    Every per-operation cost follows the cone, apart from the O(flows)
+    splice of the flow list.
 
     Cone sizes are published through [netcalc.obs] as the
     [serve.delta.cone_nodes] / [serve.delta.reused_nodes] counters. *)

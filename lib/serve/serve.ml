@@ -338,14 +338,21 @@ let run_channels t ic oc =
 (* Socket transports (sequential accept loop)                           *)
 (* ------------------------------------------------------------------ *)
 
+(* A peer that vanishes ends only its own session: with SIGPIPE
+   ignored (see [accept_loop]) a write to a closed socket fails with
+   [Sys_error] or [EPIPE] instead of killing the process. *)
 let serve_fd t fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
-  (try run_channels t ic oc with Sys_error _ | End_of_file -> ());
+  (try run_channels t ic oc with
+  | Sys_error _ | End_of_file
+  | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+      ());
   (* Closing the output channel flushes and closes the shared fd. *)
   close_out_noerr oc
 
 let accept_loop ?(clients = -1) t sock =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let remaining = ref clients in
   while !remaining <> 0 do
     let fd, _ = Unix.accept sock in

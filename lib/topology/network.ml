@@ -2,9 +2,11 @@ module Int_map = Map.Make (Int)
 
 type t = {
   servers : Server.t Int_map.t;
+  size : int;  (* [Int_map.cardinal servers] is O(servers) *)
   flow_list : Flow.t list;
   flow_map : Flow.t Int_map.t;
-  (* Eager incidence index, built once in [make]: the analyses query
+  (* Eager incidence index, built in [make] and patched per route server
+     by [add_flow]/[remove_flow]: the analyses query
      [flows_at] once per server per pass, and the O(flows) list filter
      it used to be dominates everything past a few hundred servers. *)
   by_server : Flow.t list Int_map.t;
@@ -14,6 +16,18 @@ type t = {
 }
 
 exception Cyclic
+
+let check_route server_map (f : Flow.t) =
+  List.iter
+    (fun sid ->
+      if not (Int_map.mem sid server_map) then
+        invalid_arg
+          (Printf.sprintf "Network.make: flow %s routes via unknown server %d"
+             f.name sid))
+    f.route
+
+let duplicate_flow id =
+  invalid_arg (Printf.sprintf "Network.make: duplicate flow id %d" id)
 
 let make ~servers ~flows =
   let server_map =
@@ -25,21 +39,11 @@ let make ~servers ~flows =
         else Int_map.add s.id s acc)
       Int_map.empty servers
   in
-  List.iter
-    (fun (f : Flow.t) ->
-      List.iter
-        (fun sid ->
-          if not (Int_map.mem sid server_map) then
-            invalid_arg
-              (Printf.sprintf "Network.make: flow %s routes via unknown server %d"
-                 f.name sid))
-        f.route)
-    flows;
+  List.iter (check_route server_map) flows;
   let flow_map =
     List.fold_left
       (fun acc (f : Flow.t) ->
-        if Int_map.mem f.id acc then
-          invalid_arg (Printf.sprintf "Network.make: duplicate flow id %d" f.id)
+        if Int_map.mem f.id acc then duplicate_flow f.id
         else Int_map.add f.id f acc)
       Int_map.empty flows
   in
@@ -71,7 +75,14 @@ let make ~servers ~flows =
       (fun sid ss acc -> Int_map.add sid (List.sort_uniq compare ss) acc)
       succ_sets Int_map.empty
   in
-  { servers = server_map; flow_list = flows; flow_map; by_server; succ_map }
+  {
+    servers = server_map;
+    size = Int_map.cardinal server_map;
+    flow_list = flows;
+    flow_map;
+    by_server;
+    succ_map;
+  }
 
 let server net id =
   match Int_map.find_opt id net.servers with
@@ -89,7 +100,7 @@ let flow net id =
   | Some f -> f
   | None -> invalid_arg (Printf.sprintf "Network.flow: unknown flow id %d" id)
 
-let size net = Int_map.cardinal net.servers
+let size net = net.size
 
 let flows_at net sid =
   match Int_map.find_opt sid net.by_server with Some fs -> fs | None -> []
@@ -207,6 +218,66 @@ let stable net =
   max_utilization net <~ 1.
 
 let with_flows net flows = make ~servers:(servers net) ~flows
+
+(* Re-derive the successor lists of [sids] from the flows crossing
+   them: the same ascending, deduplicated lists [make] builds, for just
+   the servers an update touched.  Empty lists are dropped, as in
+   [make]. *)
+let refresh_successors by_server succ_map sids =
+  List.fold_left
+    (fun acc sid ->
+      let crossing =
+        match Int_map.find_opt sid by_server with Some fs -> fs | None -> []
+      in
+      match
+        List.filter_map (fun f -> Flow.next_hop f sid) crossing
+        |> List.sort_uniq compare
+      with
+      | [] -> Int_map.remove sid acc
+      | ss -> Int_map.add sid ss acc)
+    succ_map sids
+
+let add_flow net (f : Flow.t) =
+  check_route net.servers f;
+  if Int_map.mem f.id net.flow_map then duplicate_flow f.id;
+  let by_server =
+    List.fold_left
+      (fun acc sid ->
+        Int_map.update sid
+          (fun fs -> Some (Option.value fs ~default:[] @ [ f ]))
+          acc)
+      net.by_server f.route
+  in
+  {
+    net with
+    flow_list = net.flow_list @ [ f ];
+    flow_map = Int_map.add f.id f net.flow_map;
+    by_server;
+    succ_map = refresh_successors by_server net.succ_map f.route;
+  }
+
+let remove_flow net id =
+  match Int_map.find_opt id net.flow_map with
+  | None -> net
+  | Some f ->
+      let others = List.filter (fun (g : Flow.t) -> g.id <> id) in
+      let by_server =
+        List.fold_left
+          (fun acc sid ->
+            Int_map.update sid
+              (function
+                | None -> None
+                | Some fs -> ( match others fs with [] -> None | fs -> Some fs))
+              acc)
+          net.by_server f.route
+      in
+      {
+        net with
+        flow_list = others net.flow_list;
+        flow_map = Int_map.remove id net.flow_map;
+        by_server;
+        succ_map = refresh_successors by_server net.succ_map f.route;
+      }
 
 let restrict net ~flow_ids =
   let keep =

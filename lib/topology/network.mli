@@ -35,7 +35,8 @@ val size : t -> int
 
 val flows_at : t -> int -> Flow.t list
 (** All flows whose route contains the server, in flow-list order.
-    Served from an index built once in {!make}, so it is O(1) — the
+    Served from an index built in {!make} and kept by {!add_flow} and
+    {!remove_flow}, so it is a map lookup — the
     analyses call it once per server per pass, and a list filter here
     used to dominate everything past a few hundred servers. *)
 
@@ -83,6 +84,24 @@ val stable : t -> bool
 val with_flows : t -> Flow.t list -> t
 (** Same servers, different flow population (used by admission
     control). *)
+
+val add_flow : t -> Flow.t -> t
+(** [add_flow net f] is [make] on the same servers and [flows net @ [f]],
+    built persistently: only the entries of [f]'s route servers are
+    rebuilt (each one's successor list is re-derived from the flows
+    that cross it), and [net] itself is left unchanged, so a caller can
+    keep it to roll back.  Every view — {!flows}, {!flows_at},
+    {!successors}, {!edges}, {!topological_order} — equals that of the
+    [make] result.  Cost: the O(flows) flow-list append, plus the flows
+    crossing [f]'s route.
+    @raise Invalid_argument with [make]'s message when [f]'s route
+    visits an unknown server or its id is already present; nothing is
+    built in that case. *)
+
+val remove_flow : t -> int -> t
+(** [remove_flow net id] is [make] on the same servers and [flows net]
+    without flow [id], built persistently like {!add_flow}.  An unknown
+    id returns [net] unchanged. *)
 
 val restrict : t -> flow_ids:int list -> t
 (** Induced sub-network: exactly the given flows (unknown ids are

@@ -5,7 +5,8 @@
    - the delta engine's state after any admit/teardown churn is
      byte-identical (IEEE bits) to a from-scratch decomposed analysis
      of the same population, and a rejected admit rolls back
-     bit-exactly;
+     bit-exactly, on tandems and on corpus DAGs (edge-cloud draws and
+     a heavytail draw with an unstable hop);
    - the line protocol is deterministic: golden transcripts pin the
      exact response bytes, including the in-band error paths;
    - delta operations actually reuse out-of-cone state
@@ -251,6 +252,164 @@ let test_tail_admit_reuses () =
         && stats.cone_nodes + stats.reused_nodes = 3 * 8);
       check_matches_scratch "delta admit = from-scratch analysis" e
   | Delta_engine.Rejected _ -> Alcotest.fail "tail admit should fit"
+
+(* Churn on general DAGs: seeded admit/teardown walks over corpus draws,
+   with deadline and buffer rejections, a cyclic route and an unstable
+   hop.  A rejected admit must leave every observable bit in place, and
+   the state must match a from-scratch analysis throughout. *)
+
+let engine_snapshot e =
+  let bit_pairs = List.map (fun (id, d) -> (id, bits d)) in
+  ( bit_pairs (Delta_engine.all_flow_delays e),
+    List.map
+      (fun (s : Server.t) ->
+        ( s.id,
+          bits (Delta_engine.server_backlog e s.id),
+          bit_pairs (Delta_engine.server_flow_backlogs e s.id) ))
+      (Network.servers (Delta_engine.network e)),
+    (Delta_engine.stats e).flows )
+
+let check_snapshot msg (delays, backlogs, flows) (delays', backlogs', flows') =
+  Alcotest.(check (list (pair int int64))) (msg ^ ": delays") delays delays';
+  Alcotest.(check (list (triple int int64 (list (pair int int64)))))
+    (msg ^ ": backlogs") backlogs backlogs';
+  Alcotest.(check int) (msg ^ ": flow count") flows flows'
+
+(* Candidates take their routes and rates from the flows of [pool]
+   whose routes stay on [servers], their deadlines from the pool's bound
+   times a factor in [0.6, 1.4], and every fifth one a buffer budget
+   around the pool's backlog with a loose deadline, so the buffer check
+   decides.  Operation 30 routes against an existing edge.  Every
+   decision must match [Admission.decide_one] on the same population. *)
+let churn_walk name ~servers ~base ~pool ~seed =
+  let e = Delta_engine.create ~servers ~flows:base () in
+  let a = Incremental.with_enabled false (fun () -> Decomposed.analyze pool) in
+  let candidates =
+    List.filter
+      (fun (f : Flow.t) ->
+        List.for_all
+          (fun sid -> List.exists (fun (s : Server.t) -> s.id = sid) servers)
+          f.route)
+      (Network.flows pool)
+    |> Array.of_list
+  in
+  let rng = Random.State.make [| seed |] in
+  let admitted = ref [] in
+  let outcomes = Hashtbl.create 8 in
+  let note kind = Hashtbl.replace outcomes kind () in
+  for op = 1 to 60 do
+    let msg = Printf.sprintf "%s op %d" name op in
+    (if op <> 30 && !admitted <> [] && Random.State.int rng 3 = 0 then begin
+       let id = List.nth !admitted (Random.State.int rng (List.length !admitted)) in
+       admitted := List.filter (( <> ) id) !admitted;
+       match Delta_engine.teardown e id with
+       | Ok _ -> note "teardown"
+       | Error `Unknown_flow -> Alcotest.fail (msg ^ ": teardown lost a flow")
+     end
+     else begin
+       let f = candidates.(Random.State.int rng (Array.length candidates)) in
+       let bound = Decomposed.flow_delay a f.id in
+       let factor = 0.6 +. Random.State.float rng 0.8 in
+       let route, deadline, buffer =
+         if op = 30 then
+           match Network.edges (Delta_engine.network e) with
+           | (x, y) :: _ -> ([ y; x ], 1e9, None)
+           | [] -> Alcotest.fail "draw without edges"
+         else if op mod 5 = 0 then
+           (f.route, 1e9, Some (factor *. Decomposed.flow_backlog a f.id))
+         else (f.route, factor *. bound, None)
+       in
+       let cand =
+         Flow.make ~id:(10_000 + op) ~arrival:f.arrival ~route ~deadline
+           ?buffer ()
+       in
+       let before = engine_snapshot e in
+       let batch =
+         Admission.decide_one ~servers
+           ~flows:(Network.flows (Delta_engine.network e))
+           ~candidate:cand ~method_:Engine.Decomposed ()
+       in
+       let verdict = function
+         | Error reason -> "rejected: " ^ Admission.reason_to_string reason
+         | Ok () -> "admitted"
+       in
+       let outcome =
+         match Delta_engine.admit e cand with
+         | Delta_engine.Admitted _ -> Ok ()
+         | Delta_engine.Rejected { reason; _ } -> Error reason
+       in
+       Alcotest.(check string)
+         (msg ^ ": decision = decide_one")
+         (verdict
+            (match batch with
+            | Admission.Accepted _ -> Ok ()
+            | Admission.Rejected reason -> Error reason))
+         (verdict outcome);
+       match outcome with
+       | Ok () ->
+           note "admitted";
+           admitted := cand.id :: !admitted
+       | Error reason ->
+           note
+             (match reason with
+             | Admission.Cyclic_route -> "cyclic"
+             | Admission.Buffer_violated _ -> "buffer"
+             | Admission.Deadline_violated _ -> "deadline"
+             | Admission.No_deadline -> "no deadline");
+           check_snapshot (msg ^ ": rejected admit") before (engine_snapshot e)
+     end);
+    if op mod 10 = 0 then check_matches_scratch msg e
+  done;
+  check_matches_scratch (name ^ " end") e;
+  List.iter
+    (fun kind ->
+      check_bool
+        (Printf.sprintf "%s: some %s outcome" name kind)
+        true (Hashtbl.mem outcomes kind))
+    [ "admitted"; "deadline"; "buffer"; "cyclic"; "teardown" ]
+
+let test_churn_edge_cloud () =
+  for seed = 0 to 3 do
+    let draw seed =
+      Corpus.generate ~family:Corpus.Edge_cloud ~target_servers:64 ~seed
+    in
+    let net = draw seed in
+    churn_walk
+      (Printf.sprintf "edge-cloud/64/%d" seed)
+      ~servers:(Network.servers net) ~base:(Network.flows net)
+      ~pool:(draw (seed + 100)) ~seed
+  done
+
+let test_churn_unstable_heavytail () =
+  (* The stream suite's poisoning on a smaller draw: one lightly used
+     mid-route server pushed past its rate, so infinite bounds flow
+     through the cones. *)
+  let net =
+    Corpus.generate ~family:Corpus.Heavytail ~target_servers:64 ~seed:3
+  in
+  let poisoned =
+    List.find
+      (fun (s : Server.t) ->
+        match Network.flows_at net s.id with
+        | [ f ] -> Flow.next_hop f s.id <> None
+        | _ -> false)
+      (Network.servers net)
+  in
+  let servers =
+    List.map
+      (fun (s : Server.t) ->
+        if s.id <> poisoned.id then s
+        else
+          Server.make ~id:s.id ~name:s.name ~discipline:s.discipline
+            ~rate:(0.5 *. s.rate *. Network.utilization net s.id)
+            ())
+      (Network.servers net)
+  in
+  let e = Delta_engine.create ~servers ~flows:(Network.flows net) () in
+  check_bool "unstable hop poisons some bounds" true
+    (List.exists (fun (_, d) -> d = infinity) (Delta_engine.all_flow_delays e));
+  churn_walk "heavytail/64/3 unstable" ~servers ~base:(Network.flows net)
+    ~pool:net ~seed:3
 
 (* ------------------------------------------------------------------ *)
 (* Sjson                                                               *)
@@ -500,6 +659,9 @@ let suite =
       test "delta: rejected admit rolls back bit-exactly" test_rollback_bit_exact;
       test "delta: decisions match decide_one" test_delta_matches_decide_one;
       test "delta: tail admit reuses out-of-cone state" test_tail_admit_reuses;
+      test "delta: edge-cloud churn, bit-exact rollback" test_churn_edge_cloud;
+      test "delta: unstable heavytail churn, bit-exact rollback"
+        test_churn_unstable_heavytail;
       test "sjson: deterministic render and round-trip" test_sjson_roundtrip;
       test "sjson: float bit round-trip" test_sjson_float_bits;
       test "sjson: parse errors" test_sjson_errors;

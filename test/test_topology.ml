@@ -185,6 +185,128 @@ let prop_randomnet_always_feedforward =
       in
       Network.is_feedforward net && Network.stable net)
 
+(* ------------------------------------------------------------------ *)
+(* Persistent flow updates: add_flow / remove_flow = make               *)
+(* ------------------------------------------------------------------ *)
+
+type views = {
+  v_flows : int list;
+  v_flows_at : (int * int list) list;
+  v_successors : (int * int list) list;
+  v_edges : (int * int) list;
+  v_topo : int list;
+}
+
+let views net =
+  let ids = List.map (fun (f : Flow.t) -> f.id) in
+  let per_server view =
+    List.map (fun (s : Server.t) -> (s.id, view s.id)) (Network.servers net)
+  in
+  {
+    v_flows = ids (Network.flows net);
+    v_flows_at = per_server (fun sid -> ids (Network.flows_at net sid));
+    v_successors = per_server (Network.successors net);
+    v_edges = Network.edges net;
+    v_topo = Network.topological_order net;
+  }
+
+let check_views msg expected actual =
+  let per_server = Alcotest.(list (pair int (list int))) in
+  Alcotest.(check (list int)) (msg ^ ": flows") expected.v_flows actual.v_flows;
+  Alcotest.check per_server (msg ^ ": flows_at") expected.v_flows_at
+    actual.v_flows_at;
+  Alcotest.check per_server (msg ^ ": successors") expected.v_successors
+    actual.v_successors;
+  Alcotest.(check (list (pair int int)))
+    (msg ^ ": edges") expected.v_edges actual.v_edges;
+  Alcotest.(check (list int))
+    (msg ^ ": topological order") expected.v_topo actual.v_topo
+
+(* A seeded walk of adds and removes over a draw's own flows, starting
+   from a random subset of them: after every step the persistent
+   network's views equal a fresh [make] on the same flow list, and the
+   network the step started from is unchanged. *)
+let check_update_walk name (draw : Network.t) ~seed =
+  let servers = Network.servers draw in
+  let pool = Network.flows draw in
+  let rng = Random.State.make [| seed |] in
+  let pick fs = List.nth fs (Random.State.int rng (List.length fs)) in
+  let present = List.filter (fun _ -> Random.State.bool rng) pool in
+  let net =
+    ref (List.fold_left Network.add_flow (Network.make ~servers ~flows:[]) present)
+  in
+  let present = ref present in
+  for step = 1 to 40 do
+    let before = !net in
+    let snapshot = views before in
+    let absent = List.filter (fun f -> not (List.memq f !present)) pool in
+    (if !present <> [] && (absent = [] || Random.State.bool rng) then begin
+       let f = pick !present in
+       present := List.filter (fun g -> g != f) !present;
+       net := Network.remove_flow before f.Flow.id
+     end
+     else begin
+       let f = pick absent in
+       present := !present @ [ f ];
+       net := Network.add_flow before f
+     end);
+    let msg = Printf.sprintf "%s step %d" name step in
+    check_views msg
+      (views (Network.make ~servers ~flows:!present))
+      (views !net);
+    check_views (msg ^ ": input unchanged") snapshot (views before)
+  done
+
+let test_update_walks_corpus () =
+  List.iter
+    (fun family ->
+      List.iter
+        (fun target_servers ->
+          List.iter
+            (fun seed ->
+              check_update_walk
+                (Printf.sprintf "%s/%d/%d" (Corpus.to_string family)
+                   target_servers seed)
+                (Corpus.generate ~family ~target_servers ~seed)
+                ~seed)
+            [ 0; 1 ])
+        [ 64; 256 ])
+    Corpus.all
+
+let test_update_walks_randomnet () =
+  for seed = 0 to 9 do
+    check_update_walk
+      (Printf.sprintf "randomnet/%d" seed)
+      (Randomnet.generate
+         { Randomnet.default with layers = 4; per_layer = 3; num_flows = 20; seed })
+      ~seed
+  done
+
+(* Errors are [make]'s, raised before anything is built; removing an
+   unknown id is a no-op that hands back the same network. *)
+let test_update_errors () =
+  let base = [ flow 0 [ 0; 1 ]; flow 1 [ 1; 2 ] ] in
+  let net = Network.make ~servers:(servers 3) ~flows:base in
+  let make_error flows =
+    match Network.make ~servers:(servers 3) ~flows with
+    | _ -> Alcotest.fail "make accepted a bad flow list"
+    | exception Invalid_argument msg -> msg
+  in
+  let add_error f =
+    match Network.add_flow net f with
+    | _ -> Alcotest.fail "add_flow accepted a bad flow"
+    | exception Invalid_argument msg -> msg
+  in
+  let dup = flow 1 [ 0; 2 ] and stray = flow 2 [ 2; 7 ] in
+  Alcotest.(check string)
+    "duplicate id" (make_error (base @ [ dup ])) (add_error dup);
+  Alcotest.(check string)
+    "unknown server" (make_error (base @ [ stray ])) (add_error stray);
+  check_views "failed adds leave the input unchanged"
+    (views (Network.make ~servers:(servers 3) ~flows:base))
+    (views net);
+  check_bool "unknown id: same network" true (Network.remove_flow net 9 == net)
+
 let test_dot_export () =
   let t = Tandem.make ~n:2 ~utilization:0.5 () in
   let dot = Dot.to_dot t.network in
@@ -211,5 +333,9 @@ let suite =
       test "tandem validation" test_tandem_validation;
       test "random feedforward generator" test_randomnet;
       prop_randomnet_always_feedforward;
+      test "add/remove flow = make on corpus walks" test_update_walks_corpus;
+      test "add/remove flow = make on randomnet walks"
+        test_update_walks_randomnet;
+      test "add/remove flow errors" test_update_errors;
       test "dot export" test_dot_export;
     ] )
