@@ -11,14 +11,13 @@
      dune exec bench/main.exe -- --jobs 4     -- netcalc.par pool size
      dune exec bench/main.exe -- --json out.json -- perf-trajectory JSON
      dune exec bench/main.exe -- --no-incremental -- per-cell scratch sweeps
-     dune exec bench/main.exe -- --curve-backend upp -- curve representation
      dune exec bench/main.exe -- --compact-eps 0.1 [--compact-max-segs 64]
                                               -- envelope compaction knob
 
    Experiment ids: fig4 fig5 fig6 burstiness validation admission
                    burst-propagation ablation-pairing ablation-theta sp
                    tightness feedback edf-allocation randomnet timing
-                   serve-churn curves scale
+                   serve-churn scale
 
    Independent sweep cells (the (U, n) grids, the per-seed randomnet
    batch, ...) are computed on the netcalc.par pool; all printing stays
@@ -962,164 +961,6 @@ let serve_churn () =
      'identical' certifies the reuse is\nbit-exact against from-scratch \
      analysis."
 
-(* Curve-representation A/B: the pwl (finite piecewise-linear) backend
-   against the upp (ultimately pseudo-periodic, Nancy-style) backend.
-   Two measurements, one per claim (DESIGN.md 15):
-
-   Part 1 — engine dispatch on the paper's own workload (the fig5
-   grid).  Every curve there is eventually affine, so the upp backend
-   delegates to the same hash-consed Minplus kernels: every float of
-   every cell must match bit for bit, and the wall-time gap is the
-   dispatch overhead.  The incremental memo is disabled (it namespaces
-   keys by backend tag, so it could not leak cells across backends,
-   but a warm pwl memo from an earlier figure would make the timing
-   comparison meaningless) and the kernel cache starts cold per run.
-
-   Part 2 — representation stress: a unit staircase arrival through a
-   faster constant-rate server (Reich's equation) at growing horizons.
-   The pwl side must unroll the staircase, so both its input and its
-   smoothed output grow linearly with the horizon; the upp side stores
-   one segment plus the periodic law at any horizon.  Kernel caches
-   are cleared before every repeat so each iteration pays full price;
-   'match' certifies both results agree pointwise on a dense grid. *)
-let curves () =
-  section "Curve backend A/B — pwl (finite) vs upp (pseudo-periodic)";
-  let saved = Options.curve_backend () in
-  Fun.protect ~finally:(fun () -> Options.set_curve_backend saved)
-  @@ fun () ->
-  let timed f =
-    let t0 = Trace.now_s () in
-    let r = f () in
-    (r, Trace.now_s () -. t0)
-  in
-  (* Part 1: fig5 grid under both backends, cold caches. *)
-  let grid backend =
-    Options.set_curve_backend backend;
-    Minplus.cache_clear ();
-    timed (fun () ->
-        Sweep_engine.tandem_grid ~options:!bench_options ~hops:[ 2; 4; 8 ]
-          ~loads ())
-  in
-  let (pwl_cells, pwl_grid_s), (upp_cells, upp_grid_s) =
-    Incremental.with_enabled false (fun () -> (grid `Pwl, grid `Upp))
-  in
-  let cell_bits (c : Engine.comparison) =
-    List.map Int64.bits_of_float
-      [
-        c.decomposed; c.service_curve; c.integrated; c.fifo_theta;
-        c.decomposed_backlog; c.integrated_backlog;
-      ]
-  in
-  let identical =
-    List.length pwl_cells = List.length upp_cells
-    && List.for_all2
-         (fun (a : Engine.comparison) (b : Engine.comparison) ->
-           a.flow = b.flow && cell_bits a = cell_bits b)
-         pwl_cells upp_cells
-  in
-  print_endline
-    "\nEngine dispatch on the fig5 grid (eventually-affine curves only):";
-  let tbl =
-    Table.create ~header:[ "backend"; "grid wall (ms)"; "tables identical" ]
-  in
-  Table.add_row tbl [ "pwl"; Printf.sprintf "%.1f" (1000. *. pwl_grid_s); "-" ];
-  Table.add_row tbl
-    [
-      "upp";
-      Printf.sprintf "%.1f" (1000. *. upp_grid_s);
-      (if identical then "yes" else "NO");
-    ];
-  output ~name:"curves-grid" tbl;
-  record_value "curves.grid.pwl_ms" (1000. *. pwl_grid_s);
-  record_value "curves.grid.upp_ms" (1000. *. upp_grid_s);
-  record_value "curves.grid.identical" (if identical then 1. else 0.);
-  (* Part 2: staircase x rate server at growing horizons, backend
-     modules driven directly (the dispatch seam converts periodic
-     results back to finite curves, which is exactly the unrolling
-     this part measures the cost of). *)
-  let step = 1. and interval = 1. and rate = 1.5 in
-  let stair = Upp.staircase ~step ~interval in
-  let horizons = [ 64; 256; 1024; 4096 ] in
-  let repeats = 20 in
-  let segs_total = Metrics.counter "pwl.segments.total" in
-  let bench f =
-    let r = f () in
-    let s0 = Metrics.value segs_total in
-    let (), wall = timed (fun () -> for _ = 1 to repeats do ignore (f ()) done) in
-    let per_call = wall /. float_of_int repeats in
-    let segs_s =
-      if wall > 0. then float_of_int (Metrics.value segs_total - s0) /. wall
-      else 0.
-    in
-    (r, per_call, segs_s)
-  in
-  print_endline
-    "\nRepresentation stress: staircase (step 1, interval 1) through a \
-     rate-1.5 server:";
-  let tbl =
-    Table.create
-      ~header:
-        [
-          "horizon"; "pwl segs"; "upp segs"; "pwl ms"; "upp ms"; "speedup";
-          "match";
-        ]
-  in
-  List.iter
-    (fun h ->
-      let horizon = float_of_int h in
-      let stair_pwl = Upp.unroll stair ~horizon in
-      let pwl_r, pwl_s, pwl_segs_s =
-        bench (fun () ->
-            Minplus.cache_clear ();
-            Minplus.conv_with_rate ~rate stair_pwl)
-      in
-      let upp_r, upp_s, upp_segs_s =
-        bench (fun () ->
-            Minplus.cache_clear ();
-            Upp.conv_with_rate ~rate stair)
-      in
-      (* Pointwise agreement on a dense grid, sampled off the jump
-         points (left/right limits differ there by construction). *)
-      let max_dev = ref 0. in
-      let n_samples = 4 * h in
-      for k = 0 to n_samples do
-        let t = (float_of_int k +. 0.41) /. 4. in
-        if t <= horizon then
-          max_dev :=
-            Float.max !max_dev
-              (Float.abs (Pwl.eval pwl_r t -. Upp.eval upp_r t))
-      done;
-      let agree = !max_dev <= 1e-6 in
-      let pwl_segs = List.length (Pwl.segments pwl_r) in
-      let upp_segs = Upp.segment_count upp_r in
-      record_value (Printf.sprintf "curves.h%d.pwl_segs" h)
-        (float_of_int pwl_segs);
-      record_value (Printf.sprintf "curves.h%d.upp_segs" h)
-        (float_of_int upp_segs);
-      record_value (Printf.sprintf "curves.h%d.pwl_ms" h) (1000. *. pwl_s);
-      record_value (Printf.sprintf "curves.h%d.upp_ms" h) (1000. *. upp_s);
-      record_value (Printf.sprintf "curves.h%d.speedup" h) (pwl_s /. upp_s);
-      record_value (Printf.sprintf "curves.h%d.pwl_segs_per_s" h) pwl_segs_s;
-      record_value (Printf.sprintf "curves.h%d.upp_segs_per_s" h) upp_segs_s;
-      record_value (Printf.sprintf "curves.h%d.max_dev" h) !max_dev;
-      Table.add_row tbl
-        [
-          string_of_int h;
-          string_of_int pwl_segs;
-          string_of_int upp_segs;
-          Printf.sprintf "%.3f" (1000. *. pwl_s);
-          Printf.sprintf "%.3f" (1000. *. upp_s);
-          Printf.sprintf "%.1fx" (pwl_s /. upp_s);
-          (if agree then "yes" else "NO");
-        ])
-    horizons;
-  output ~name:"curves-stress" tbl;
-  print_endline
-    "\nExpected shape: on the affine grid the two backends agree bit for bit \
-     and\ncost the same; on the staircase the pwl result grows linearly with \
-     the\nhorizon while the upp result keeps a constant segment count, so the\n\
-     speedup column grows with the horizon."
-
 (* ------------------------------------------------------------------ *)
 (* Scale: streaming frontier propagation on the scenario corpus        *)
 (* ------------------------------------------------------------------ *)
@@ -1248,7 +1089,6 @@ let experiments =
     ("randomnet", randomnet);
     ("timing", timing);
     ("serve-churn", serve_churn);
-    ("curves", curves);
     ("scale", scale);
   ]
 
@@ -1376,10 +1216,8 @@ let write_perf_json path ~total_wall_s =
   let b = Buffer.create 4096 in
   Buffer.add_string b
     (Printf.sprintf
-       "{\"schema\":\"netcalc-bench/3\",\"backend\":\"%s\",\
-        \"par_backend\":\"%s\",\"jobs\":%d,\
-        \"total_wall_s\":%.6f,\"experiments\":["
-       (json_escape (Options.curve_backend_name ()))
+       "{\"schema\":\"netcalc-bench/3\",\"par_backend\":\"%s\",\
+        \"jobs\":%d,\"total_wall_s\":%.6f,\"experiments\":["
        (json_escape Par.backend) (Par.jobs ()) total_wall_s);
   List.iteri
     (fun i r ->
@@ -1438,14 +1276,6 @@ let () =
         | Some n when n >= 1 -> Par.set_jobs n
         | _ ->
             Printf.eprintf "--jobs expects a positive integer, got %s\n" n;
-            exit 1)
-    | None -> ());
-    (match find_opt "--curve-backend" args with
-    | Some s -> (
-        match Options.curve_backend_of_string s with
-        | Ok b -> Options.set_curve_backend b
-        | Error msg ->
-            Printf.eprintf "--curve-backend: %s\n" msg;
             exit 1)
     | None -> ());
     if List.mem "--no-incremental" args then Incremental.set_enabled false;

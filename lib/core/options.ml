@@ -23,15 +23,3 @@ let compact_envelope t env =
   if t.compact_eps <= 0. then env
   else
     Pwl.compact ~dir:`Up ~eps:t.compact_eps ~max_segs:t.compact_max_segs env
-
-(* The curve backend is process-global (it must stay consistent with
-   the process-global Minplus/intern/Incremental caches, whose keys it
-   namespaces — see Curve_repr), so these are delegations rather than
-   a record field: a per-record backend could silently interleave two
-   backends against the same caches. *)
-type curve_backend = Curve_repr.backend
-
-let curve_backend_of_string = Curve_repr.of_string
-let set_curve_backend = Curve_repr.set_backend
-let curve_backend = Curve_repr.backend
-let curve_backend_name = Curve_repr.backend_name

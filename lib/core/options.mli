@@ -45,22 +45,3 @@ val compact_envelope : t -> Pwl.t -> Pwl.t
     [compact_eps <= 0.], otherwise [Pwl.compact ~dir:`Up].  The result
     is pointwise [>=] the input, so downstream delay bounds remain
     valid upper bounds. *)
-
-(** {1 Curve backend}
-
-    Which curve representation the engines' kernel operations run on
-    ({!Curve_repr}): [`Pwl] (finite piecewise-linear, the default) or
-    [`Upp] (ultimately pseudo-periodic, horizon-independent size).
-    Unlike the record fields above this is process-global state — it
-    namespaces the process-global memo caches — so the selectors here
-    delegate to {!Curve_repr} rather than extend [t]; CLI and bench
-    apply [--curve-backend] (or NETCALC_CURVE_BACKEND) through these
-    before running any analysis.  Both backends produce bit-identical
-    tables on the paper's grids. *)
-
-type curve_backend = Curve_repr.backend
-
-val curve_backend_of_string : string -> (curve_backend, string) result
-val set_curve_backend : curve_backend -> unit
-val curve_backend : unit -> curve_backend
-val curve_backend_name : unit -> string

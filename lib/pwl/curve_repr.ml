@@ -1,159 +1,5 @@
-(* Curve-representation seam (DESIGN.md §15): the engines' min-plus
-   kernel operations go through the dispatch functions at the bottom of
-   this module instead of calling [Minplus] directly (netcalc-lint's
-   curve-repr rule enforces that in lib/core, lib/sched and lib/serve),
-   so the finite piecewise-linear representation ({!Pwl}) becomes one
-   of two interchangeable backends — the other being the
-   ultimately-pseudo-periodic representation ({!Upp}).
-
-   The selected backend is process-global state, exactly like the
-   other cross-cutting switches it has to stay consistent with (the
-   Minplus result cache, the Pwl intern table, Incremental's memo
-   tables, Par's job count): a per-call or per-options backend would
-   let two backends interleave against caches whose keys must be
-   namespaced per backend ({!backend_tag} feeds both the Minplus cache
-   namespace and Incremental.net_key).  [Options] re-exports
-   setter/getter so CLI and bench wire the [--curve-backend] flag and
-   the NETCALC_CURVE_BACKEND environment variable through the usual
-   options surface.
-
-   Engines exchange [Pwl.t] values at their interfaces whichever
-   backend is active; the upp backend wraps operands ({!Upp.of_pwl},
-   exact and O(1)) and lowers results back ({!Upp.to_pwl}).  On the
-   eventually-affine curves of the paper's grids this delegates to the
-   very same [Minplus] kernels on the same hash-consed values, so both
-   backends produce bit-identical delay/backlog tables — pinned by the
-   cross-backend tests and the CI smoke job.  The representational
-   payoff (horizon-independent curve size) shows on genuinely periodic
-   curves, which only the upp backend can carry without unrolling. *)
-
-module type S = sig
-  type curve
-
-  val name : string
-  val of_pwl : Pwl.t -> curve
-  val to_pwl : curve -> Pwl.t
-  val eval : curve -> float -> float
-  val add : curve -> curve -> curve
-  val min_pw : curve -> curve -> curve
-  val conv : curve -> curve -> curve
-  val conv_with_rate : rate:float -> curve -> curve
-  val deconv : curve -> curve -> curve
-  val compare : curve -> curve -> int
-  val hash : curve -> int
-  val compact : dir:[ `Up | `Down ] -> eps:float -> max_segs:int -> curve -> curve
-  val segment_count : curve -> int
-end
-
-module Pwl_backend : S with type curve = Pwl.t = struct
-  type curve = Pwl.t
-
-  let name = "pwl"
-  let of_pwl f = f
-  let to_pwl f = f
-  let eval = Pwl.eval
-  let add = Pwl.add
-  let min_pw = Pwl.min_pw
-  let conv = Minplus.conv
-  let conv_with_rate = Minplus.conv_with_rate
-  let deconv = Minplus.deconv
-  let compare = Pwl.compare
-  let hash = Pwl.hash
-  let compact = Pwl.compact
-  let segment_count f = List.length (Pwl.breakpoints f)
-end
-
-module Upp_backend : S with type curve = Upp.t = struct
-  type curve = Upp.t
-
-  let name = "upp"
-  let of_pwl = Upp.of_pwl
-  let to_pwl = Upp.to_pwl
-  let eval = Upp.eval
-  let add = Upp.add
-  let min_pw = Upp.min_pw
-  let conv = Upp.conv
-  let conv_with_rate = Upp.conv_with_rate
-  let deconv = Upp.deconv
-  let compare = Upp.compare
-  let hash = Upp.hash
-  let compact = Upp.compact
-  let segment_count = Upp.segment_count
-end
-
-(* ------------------------------------------------------------------ *)
-(* Backend selection                                                   *)
-(* ------------------------------------------------------------------ *)
-
-type backend = [ `Pwl | `Upp ]
-
-let of_string s =
-  match String.lowercase_ascii s with
-  | "pwl" -> Ok `Pwl
-  | "upp" -> Ok `Upp
-  | _ -> Error (Printf.sprintf "unknown curve backend %S (expected pwl or upp)" s)
-
-let to_string = function `Pwl -> "pwl" | `Upp -> "upp"
-
-(* Initialized lazily from NETCALC_CURVE_BACKEND on first read so a
-   bad value surfaces as a clean Invalid_argument at first use, not as
-   a cryptic failure during module initialization. *)
-let lock = Obs_sync.create ()
-let initialized = ref false
-let current : backend ref = ref `Pwl
-
-let resolve_env () =
-  match Sys.getenv_opt "NETCALC_CURVE_BACKEND" with
-  | None -> `Pwl
-  | Some s -> (
-      match of_string s with
-      | Ok b -> b
-      | Error msg -> invalid_arg ("NETCALC_CURVE_BACKEND: " ^ msg))
-
-let backend () =
-  Obs_sync.with_lock lock (fun () ->
-      if not !initialized then begin
-        current := resolve_env ();
-        initialized := true
-      end;
-      !current)
-
-let set_backend b =
-  Obs_sync.with_lock lock (fun () ->
-      initialized := true;
-      current := b)
-
-let backend_name () = to_string (backend ())
-
-(* Small integer tag for cache keys that must not conflate backends
-   (Incremental.net_key; see also the Minplus cache namespaces the upp
-   backend derives for its windowed results). *)
-let backend_tag () = match backend () with `Pwl -> 0 | `Upp -> 1
-
-(* ------------------------------------------------------------------ *)
-(* Dispatching kernel operations                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Engine-facing entry points: [Pwl.t] in, [Pwl.t] out, routed through
-   the selected backend.  Exceptions are part of the contract and
-   backend-independent: the upp affine-tail paths delegate to the same
-   Minplus kernels, shape rules, stability checks and all. *)
-
-let conv f g =
-  match backend () with
-  | `Pwl -> Pwl_backend.conv f g
-  | `Upp -> Upp.to_pwl (Upp_backend.conv (Upp.of_pwl f) (Upp.of_pwl g))
-
-let conv_list = function
-  | [] -> invalid_arg "Curve_repr.conv_list: empty list"
-  | f :: rest -> List.fold_left conv f rest
-
-let conv_with_rate ~rate g =
-  match backend () with
-  | `Pwl -> Pwl_backend.conv_with_rate ~rate g
-  | `Upp -> Upp.to_pwl (Upp_backend.conv_with_rate ~rate (Upp.of_pwl g))
-
-let deconv f g =
-  match backend () with
-  | `Pwl -> Pwl_backend.deconv f g
-  | `Upp -> Upp.to_pwl (Upp_backend.deconv (Upp.of_pwl f) (Upp.of_pwl g))
+(* Kept only for perfbench/kernel_probe.ml, which names these three;
+   everything else calls [Minplus] directly. *)
+let conv = Minplus.conv
+let deconv = Minplus.deconv
+let conv_with_rate = Minplus.conv_with_rate

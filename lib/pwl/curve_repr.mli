@@ -1,75 +1,6 @@
-(** Curve-representation seam (DESIGN.md §15): the module type every
-    curve backend implements, the two backends (finite piecewise-linear
-    {!Pwl}, ultimately-pseudo-periodic {!Upp}), the process-global
-    backend switch, and the dispatching kernel operations the engines
-    call instead of [Minplus] directly.
-
-    Both backends produce bit-identical delay/backlog tables on the
-    paper's (eventually-affine) token-bucket grids: the upp backend
-    delegates its affine-tail case to the same [Minplus] kernels on the
-    same hash-consed values.  The upp backend additionally carries
-    genuinely periodic curves with horizon-independent size. *)
-
-(** Operations a curve representation must provide.  [of_pwl]/[to_pwl]
-    are the exact interchange with the engines' wire type. *)
-module type S = sig
-  type curve
-
-  val name : string
-  val of_pwl : Pwl.t -> curve
-  val to_pwl : curve -> Pwl.t
-  val eval : curve -> float -> float
-  val add : curve -> curve -> curve
-  val min_pw : curve -> curve -> curve
-  val conv : curve -> curve -> curve
-  val conv_with_rate : rate:float -> curve -> curve
-  val deconv : curve -> curve -> curve
-  val compare : curve -> curve -> int
-  val hash : curve -> int
-  val compact : dir:[ `Up | `Down ] -> eps:float -> max_segs:int -> curve -> curve
-  val segment_count : curve -> int
-end
-
-module Pwl_backend : S with type curve = Pwl.t
-module Upp_backend : S with type curve = Upp.t
-
-(** {1 Backend selection}
-
-    Process-global, like the caches it must stay consistent with
-    (Minplus result cache, intern table, Incremental memos).  Reads
-    NETCALC_CURVE_BACKEND lazily on first use; [--curve-backend] in the
-    CLI and bench harness calls {!set_backend} (via
-    [Options.set_curve_backend]) before any analysis runs. *)
-
-type backend = [ `Pwl | `Upp ]
-
-val of_string : string -> (backend, string) result
-val to_string : backend -> string
-
-val backend : unit -> backend
-(** The active backend ([`Pwl] unless overridden by environment or
-    {!set_backend}).
-    @raise Invalid_argument on first read when NETCALC_CURVE_BACKEND
-    holds an unknown value. *)
-
-val set_backend : backend -> unit
-
-val backend_name : unit -> string
-(** [to_string (backend ())]. *)
-
-val backend_tag : unit -> int
-(** Small integer identifying the active backend, for cache keys that
-    must not conflate results across backends ([Incremental.net_key]
-    folds it into every memo key). *)
-
-(** {1 Dispatching kernel operations}
-
-    [Pwl.t] in, [Pwl.t] out, routed through the active backend.
-    Contracts (shape rules, stability requirements, raised exceptions)
-    are those of the corresponding [Minplus] kernels and are
-    backend-independent. *)
+(** Aliases of the {!Minplus} kernels, kept only for
+    perfbench/kernel_probe.ml, which names these three. *)
 
 val conv : Pwl.t -> Pwl.t -> Pwl.t
-val conv_list : Pwl.t list -> Pwl.t
-val conv_with_rate : rate:float -> Pwl.t -> Pwl.t
 val deconv : Pwl.t -> Pwl.t -> Pwl.t
+val conv_with_rate : rate:float -> Pwl.t -> Pwl.t

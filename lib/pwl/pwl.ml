@@ -43,12 +43,10 @@ let normalize segs =
    branch-guarded by Obs: disabled runs pay one load and branch.
 
    [pwl.segments.total] (cumulative segments constructed — the
-   segments-processed denominator of the curve-backend A/B bench) and
-   [pwl.segments.max] (largest single curve ever built) make
-   horizon-dependent representation blowup directly visible in
-   [netcalc profile] and bench [--obs]: under the pwl backend the peak
-   grows with the unrolled horizon, under the upp backend it stays at
-   the transient-plus-period structure size. *)
+   segments-processed denominator of the bench's [segments_per_sec])
+   and [pwl.segments.max] (largest single curve ever built) make
+   representation blowup directly visible in [netcalc profile] and
+   bench [--obs]. *)
 let c_make = Metrics.counter "pwl.make.calls"
 let d_breakpoints = Metrics.dist "pwl.breakpoints"
 let c_segs_total = Metrics.counter "pwl.segments.total"

@@ -262,10 +262,6 @@ let do_stats t =
       ok true;
       str "op" "stats";
       str "engine" engine_name;
-      (* Which curve representation served the session's kernel calls
-         (process-global; delta re-analysis and memo keys are
-         namespaced by it — see Curve_repr). *)
-      str "curve_backend" (Options.curve_backend_name ());
       int "servers" servers;
       int "flows" flows;
       ("admitted_rate", Sjson.Num rate);
@@ -326,13 +322,68 @@ let session t ~next ~emit =
   in
   loop ()
 
+let max_line_bytes = 1 lsl 20
+let line_too_long = obj [ ok false; str "error" "line_too_long" ]
+
+(* Newline-delimited lines of [ic] (a final unterminated line counts),
+   holding at most [max_line_bytes] of any one line: a longer line
+   yields [`Too_long] once its newline (or end of input) is reached,
+   its bytes discarded as they arrive.  Reads whole chunks and scans
+   them for the newline, like [In_channel.input_line], rather than
+   paying a channel lock per character. *)
+let bounded_lines ic =
+  let chunk = Bytes.create 65536 in
+  let pos = ref 0 and len = ref 0 in
+  let line = Buffer.create 256 in
+  let finish too_long =
+    if too_long then begin
+      Buffer.reset line;
+      Some `Too_long
+    end
+    else begin
+      let l = Buffer.contents line in
+      Buffer.clear line;
+      Some (`Line l)
+    end
+  in
+  let rec next too_long =
+    if !pos >= !len then begin
+      pos := 0;
+      len := In_channel.input ic chunk 0 (Bytes.length chunk)
+    end;
+    if !len = 0 then
+      if too_long || Buffer.length line > 0 then finish too_long else None
+    else begin
+      let stop = ref !pos in
+      while !stop < !len && Bytes.get chunk !stop <> '\n' do
+        incr stop
+      done;
+      let n = !stop - !pos in
+      let too_long = too_long || Buffer.length line + n > max_line_bytes in
+      if not too_long then Buffer.add_subbytes line chunk !pos n;
+      let found = !stop < !len in
+      pos := if found then !stop + 1 else !len;
+      if found then finish too_long else next too_long
+    end
+  in
+  fun () -> next false
+
 let run_channels t ic oc =
-  session t
-    ~next:(fun () -> In_channel.input_line ic)
-    ~emit:(fun resp ->
-      output_string oc resp;
-      output_char oc '\n';
-      flush oc)
+  let emit resp =
+    output_string oc resp;
+    output_char oc '\n';
+    flush oc
+  in
+  let read = bounded_lines ic in
+  let rec next () =
+    match read () with
+    | Some `Too_long ->
+        emit line_too_long;
+        next ()
+    | Some (`Line l) -> Some l
+    | None -> None
+  in
+  session t ~next ~emit
 
 (* ------------------------------------------------------------------ *)
 (* Socket transports (sequential accept loop)                           *)
@@ -361,8 +412,16 @@ let accept_loop ?(clients = -1) t sock =
   done;
   Unix.close sock
 
+(* Only a stale socket is replaced: [path] naming any other file is a
+   caller mistake, and unlinking it would destroy that file. *)
 let listen_unix ?clients t ~path =
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  (match (Unix.lstat path).Unix.st_kind with
+  | Unix.S_SOCK -> Unix.unlink path
+  | _ ->
+      failwith
+        (Printf.sprintf "%s exists and is not a socket; refusing to replace it"
+           path)
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind sock (Unix.ADDR_UNIX path);
   Unix.listen sock 8;

@@ -18,7 +18,8 @@
     re-analyzes every server, so [reused_nodes] is 0).  Errors are
     in-band: [{"ok":false,"error":...}] with [error] one of
     [parse_error], [bad_request], [unknown_op], [unknown_flow],
-    [duplicate_flow], or [rejected] (admission refused; a [reason]
+    [duplicate_flow], [line_too_long] (see {!max_line_bytes}), or
+    [rejected] (admission refused; a [reason]
     field then carries [no_deadline], [cyclic_route], or
     [deadline_violated] with the violating flow's id, bound and
     deadline).
@@ -55,14 +56,22 @@ val session : t -> next:(unit -> string option) -> emit:(string -> unit) -> unit
 (** Pull request lines from [next] until it returns [None], emitting
     one response per non-blank line. *)
 
+val max_line_bytes : int
+(** Longest request line read (1 MiB, newline excluded).  A longer line
+    is answered with [{"ok":false,"error":"line_too_long"}] and
+    discarded, and the session goes on with the next line. *)
+
 val run_channels : t -> in_channel -> out_channel -> unit
-(** {!session} over channels, flushing after every response — the
+(** {!session} over channels, reading lines of at most
+    {!max_line_bytes} and flushing after every response — the
     [--stdin] transport and the per-connection socket loop. *)
 
 val listen_unix : ?clients:int -> t -> path:string -> unit
-(** Bind a Unix-domain socket at [path] (unlinking any stale one) and
-    serve connections sequentially; [clients] (default unbounded) stops
-    after that many connections, for tests. *)
+(** Bind a Unix-domain socket at [path] (unlinking a stale socket
+    there) and serve connections sequentially; [clients] (default
+    unbounded) stops after that many connections, for tests.
+    @raise Failure, leaving the file untouched, when [path] exists and
+    is not a socket. *)
 
 val listen_tcp : ?clients:int -> t -> port:int -> unit
 (** Same over TCP on the loopback interface. *)

@@ -244,9 +244,8 @@ let test_compaction_prunes () =
 
 (* Key-coverage audit: every process input that can change a memoized
    result must be folded into net_key — the compaction knobs (eps and
-   max_segs), the pairing strategy, and the curve-backend tag.  A miss
-   here is silent: the memo would replay a value computed under
-   different settings. *)
+   max_segs) and the pairing strategy.  A miss here is silent: the memo
+   would replay a value computed under different settings. *)
 let test_net_key_coverage () =
   with_incremental true (fun () ->
       let net = (Tandem.make ~n:2 ~utilization:0.5 ()).network in
@@ -274,15 +273,7 @@ let test_net_key_coverage () =
       get
         (Incremental.net_key ~options:Options.default
            ~strategy:(Pairing.Along_route 0) net);
-      Alcotest.(check int) "pairing strategy is keyed" 4 !calls;
-      let prev = Curve_repr.backend () in
-      Fun.protect
-        ~finally:(fun () -> Curve_repr.set_backend prev)
-        (fun () ->
-          Curve_repr.set_backend
-            (match prev with `Pwl -> `Upp | `Upp -> `Pwl);
-          get (Incremental.net_key ~options:Options.default net);
-          Alcotest.(check int) "curve backend is keyed" 5 !calls))
+      Alcotest.(check int) "pairing strategy is keyed" 4 !calls)
 
 let suite =
   ( "incremental",

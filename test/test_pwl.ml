@@ -273,6 +273,16 @@ let prop_conv_commutative =
     QCheck2.Gen.(pair gen_convex gen_convex)
     (fun (f, g) -> Pwl.equal (Minplus.conv f g) (Minplus.conv g f))
 
+(* Concave convolution is a pointwise minimum, so it commutes and
+   associates bit for bit; [Minplus.conv_list]'s left fold and the
+   sweep engine's running prefix rely on the association. *)
+let prop_concave_conv_algebra =
+  qtest "concave convolution commutes and associates"
+    QCheck2.Gen.(triple gen_concave gen_concave gen_concave)
+    (fun (f, g, h) ->
+      let c = Minplus.conv in
+      Pwl.equal (c f g) (c g f) && Pwl.equal (c (c f g) h) (c f (c g h)))
+
 let prop_conv_below_operand =
   qtest "f (x) g <= f (when g 0 = 0)"
     QCheck2.Gen.(triple gen_convex gen_convex gen_time)
@@ -313,6 +323,29 @@ let prop_busy_period_is_crossing =
       Float.is_finite b
       && Pwl.eval agg (b +. 1e-6) <= (rate *. (b +. 1e-6)) +. 1e-4)
 
+let test_segment_metrics () =
+  Obs.enable ();
+  Metrics.reset ();
+  Fun.protect ~finally:(fun () ->
+      Obs.disable ();
+      Metrics.reset ())
+  @@ fun () ->
+  let n = 50 in
+  ignore
+    (Pwl.make
+       (List.init n (fun k -> (float_of_int k, float_of_int (k + 1), 0.))));
+  let snap = Metrics.snapshot () in
+  let total =
+    Option.value ~default:0
+      (List.assoc_opt "pwl.segments.total" snap.Metrics.counters)
+  in
+  let peak =
+    Option.value ~default:0
+      (List.assoc_opt "pwl.segments.max" snap.Metrics.peaks)
+  in
+  check_bool "segments.total counts the curve" true (total >= n);
+  check_bool "segments.max saw the curve" true (peak >= n)
+
 let suite =
   ( "pwl",
     [
@@ -344,7 +377,9 @@ let suite =
       test "delay_fifo_aggregate" test_delay_fifo_aggregate;
       prop_min_below_both;
       prop_add_pointwise;
+      test "pwl.segments metrics record workload" test_segment_metrics;
       prop_conv_commutative;
+      prop_concave_conv_algebra;
       prop_conv_below_operand;
       prop_deconv_dominates;
       prop_hdev_token_bucket_formula;

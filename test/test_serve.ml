@@ -10,7 +10,10 @@
    - the line protocol is deterministic: golden transcripts pin the
      exact response bytes, including the in-band error paths;
    - delta operations actually reuse out-of-cone state
-     (reused_nodes > 0 on a tail admit). *)
+     (reused_nodes > 0 on a tail admit);
+   - the transports survive their input: an over-long request line is
+     answered in-band and skipped, and --unix replaces only a stale
+     socket, never another file. *)
 
 open Testutil
 
@@ -507,7 +510,7 @@ let golden_transcript =
       {|{"ok":false,"error":"bad_request","detail":"missing or invalid \"op\" field"}|}
     );
     ( {|{"op":"stats"}|},
-      {|{"ok":true,"op":"stats","engine":"delta","curve_backend":"pwl","servers":1,"flows":1,"admitted_rate":0.1,"admits":2,"rejects":2,"teardowns":1,"cone_nodes":4,"reused_nodes":1}|}
+      {|{"ok":true,"op":"stats","engine":"delta","servers":1,"flows":1,"admitted_rate":0.1,"admits":2,"rejects":2,"teardowns":1,"cone_nodes":4,"reused_nodes":1}|}
     );
     (* Buffer-constrained admission: flow 10's budget covers its backlog
        bound; flow 11's does not, and the rejection names the flow, the
@@ -611,6 +614,67 @@ let test_unstable_sentinels () =
     {|{"ok":false,"op":"admit","flow":2,"error":"rejected","reason":"deadline_violated","violating_flow":2,"violating_bound":"inf","violating_deadline":"inf","cone_nodes":1,"reused_nodes":0}|}
 
 (* ------------------------------------------------------------------ *)
+(* Transports                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* [Serve.run_channels] over [input] through temp files; the response
+   lines. *)
+let run_over_channels t input =
+  let inp = Filename.temp_file "serve_in" ".ndjson" in
+  let out = Filename.temp_file "serve_out" ".ndjson" in
+  Fun.protect ~finally:(fun () ->
+      Sys.remove inp;
+      Sys.remove out)
+  @@ fun () ->
+  Out_channel.with_open_bin inp (fun oc -> output_string oc input);
+  In_channel.with_open_bin inp (fun ic ->
+      Out_channel.with_open_bin out (fun oc -> Serve.run_channels t ic oc));
+  In_channel.with_open_bin out In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
+let test_line_too_long () =
+  let t = golden_server () in
+  let stats = {|{"op":"stats"}|} in
+  let before = Serve.handle_line t stats in
+  let too_long = {|{"ok":false,"error":"line_too_long"}|} in
+  let cap = Serve.max_line_bytes in
+  (* A line of exactly the cap is served; one byte more is not, and
+     neither is an unterminated over-long line at end of input. *)
+  let at_cap = stats ^ String.make (cap - String.length stats) ' ' in
+  let input =
+    String.concat "\n"
+      [ String.make (cap + 1) 'x'; stats; at_cap; String.make (cap + 1) 'y' ]
+  in
+  Alcotest.(check (list string))
+    "over-long lines answered in order, session goes on"
+    [ too_long; before; before; too_long ]
+    (run_over_channels t input);
+  Alcotest.(check string) "state unchanged" before (Serve.handle_line t stats)
+
+let test_listen_unix_path () =
+  let t = golden_server () in
+  let path = Filename.temp_file "netcalc" ".sock" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  Out_channel.with_open_bin path (fun oc -> output_string oc "data\n");
+  (match Serve.listen_unix ~clients:0 t ~path with
+  | () -> Alcotest.fail "listen_unix replaced a regular file"
+  | exception Failure _ -> ());
+  Alcotest.(check string) "regular file untouched" "data\n"
+    (In_channel.with_open_bin path In_channel.input_all);
+  (* A stale socket, left behind by a listener that has gone away.
+     Binding over it fails with EADDRINUSE, so listen_unix returning
+     means it unlinked the stale socket and bound a fresh one. *)
+  Sys.remove path;
+  let stale = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind stale (Unix.ADDR_UNIX path);
+  Unix.close stale;
+  Serve.listen_unix ~clients:0 t ~path;
+  check_bool "socket rebound" true
+    ((Unix.lstat path).Unix.st_kind = Unix.S_SOCK)
+
+(* ------------------------------------------------------------------ *)
 (* Full engine parity                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -671,4 +735,8 @@ let suite =
         test_handle_line_is_a_barrier;
       test "protocol: non-finite sentinels" test_unstable_sentinels;
       test "protocol: delta/full engine parity" test_full_engine_agrees;
+      test "transport: over-long line answered, session goes on"
+        test_line_too_long;
+      test "transport: --unix replaces only a stale socket"
+        test_listen_unix_path;
     ] )

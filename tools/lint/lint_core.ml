@@ -71,21 +71,6 @@ let role_of_path path =
   in
   find (path_segs path)
 
-(* Directories whose code constitutes the analysis engines: they must
-   reach the min-plus kernels through the [Curve_repr] dispatch seam,
-   so the [--curve-backend] switch covers every analysis path.
-   lib/pwl (the backends themselves), lib/curves (curve constructors,
-   including the sampler-based FIFO-theta clipping) and lib/sim (the
-   fluid simulator computes explicit trajectories, not bounds) stay on
-   the kernels. *)
-let engine_path path =
-  let rec find = function
-    | "lib" :: d :: _ -> List.mem d [ "core"; "sched"; "serve" ]
-    | _ :: rest -> find rest
-    | [] -> false
-  in
-  find (path_segs path)
-
 (* The one module allowed to spell out raw float comparison. *)
 let is_float_ops_file path = Filename.basename path = "float_ops.ml"
 

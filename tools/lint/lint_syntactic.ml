@@ -1,5 +1,5 @@
 (* The syntactic backend of netcalc-lint: per-file rules over the
-   ppxlib parsetree (DESIGN.md §12).  Six rule families:
+   ppxlib parsetree (DESIGN.md §12).  Five rule families:
 
      race-global     top-level mutable state (ref cells, hash tables,
                      buffers, arrays, records with mutable fields) in
@@ -20,11 +20,6 @@
                      builds a list or prints, with no enclosing sort:
                      iteration order is unspecified, so the output is
                      nondeterministic
-     curve-repr      engine code (lib/core, lib/sched, lib/serve)
-                     calling the min-plus kernels directly
-                     ([Minplus.conv] &c.) or rebuilding curves from
-                     samplers ([Pwl.of_sampler]): both bypass the
-                     [--curve-backend] dispatch seam ([Curve_repr])
 
    plus two infrastructure rules: [parse-error] (a file does not
    parse) and [bad-waiver] (a waiver attribute whose payload does not
@@ -271,7 +266,6 @@ let waived_rules ~report attrs =
 
 let analyze_structure ~report ~file ~role str =
   let float_ops = is_float_ops_file file in
-  let engine = engine_path file in
   (* Names of mutable record labels declared in this file: a top-level
      [let st = { pos = 0; ... }] with such a label is module-scope
      mutable state. *)
@@ -412,26 +406,6 @@ let analyze_structure ~report ~file ~role str =
               ~hint:
                 "wrap the access in Obs_sync.with_lock, or waive the \
                  binding with [@@lint.domain_safe \"reason\"]"
-        | _ -> ());
-        (match txt with
-        | Ldot (Lident "Minplus", f) when engine && List.mem f minplus_ctors ->
-            report ~loc:e.pexp_loc ~rule:"curve-repr"
-              ~msg:
-                (Printf.sprintf
-                   "direct Minplus.%s in engine code bypasses the \
-                    curve-backend switch"
-                   f)
-              ~hint:
-                "go through Curve_repr.conv / conv_list / conv_with_rate / \
-                 deconv"
-        | Ldot (Lident "Pwl", "of_sampler") when engine ->
-            report ~loc:e.pexp_loc ~rule:"curve-repr"
-              ~msg:
-                "Pwl.of_sampler in engine code builds a \
-                 representation-specific curve behind the Curve_repr seam"
-              ~hint:
-                "move the sampler-based construction into lib/pwl or \
-                 lib/curves and expose it through the repr interface"
         | _ -> ());
         match forbidden_prim role txt with
         | Some (sym, hint) ->
